@@ -49,6 +49,13 @@ type Config struct {
 	// predecessor persisted so placements after recovery land on the
 	// same cores they would have in the uninterrupted engine.
 	NextFitCursor int
+	// Hints seeds the first analysis with security-task name →
+	// period, typically the periods the base set was committed with
+	// before a restart or handoff. Advisory exactly like
+	// core.Hints.Periods: each one is verified minimal before use, so
+	// a stale, missing or wrong entry costs a search, never a
+	// different result. The engine only reads the map.
+	Hints map[string]task.Time
 }
 
 // Stats describes how much work one Apply actually did.
@@ -119,15 +126,17 @@ type Engine struct {
 	// after analysis admits it, before the state installs. An error
 	// aborts the commit (the delta is neither installed nor logged), so
 	// a persistence layer can make "committed" mean "durable".
-	onCommit func(d task.Delta, state *task.Set, cursor int) error
+	onCommit func(d task.Delta, state *task.Set, cursor int, periods []task.Time) error
 }
 
 // SetOnCommit installs the commit hook. It must be called before the
 // engine is shared across goroutines (a recovery manager sets it
 // between replay and serving); the hook runs under the engine lock
-// and must not call back into the engine or retain state (the
-// committed set is engine-owned).
-func (e *Engine) SetOnCommit(f func(d task.Delta, state *task.Set, cursor int) error) {
+// and must not call back into the engine or retain state or periods
+// (both engine-owned). periods are the committed state's selected
+// periods aligned with state.Security, nil when that state is
+// unschedulable.
+func (e *Engine) SetOnCommit(f func(d task.Delta, state *task.Set, cursor int, periods []task.Time) error) {
 	e.mu.Lock()
 	defer e.mu.Unlock()
 	e.onCommit = f
@@ -176,7 +185,11 @@ func New(ctx context.Context, base *task.Set, cfg Config) (*Engine, *Outcome, er
 	if cacheSize <= 0 {
 		cacheSize = 8 * cp.Cores
 	}
-	e := &Engine{cfg: cfg, coreCache: lru.New[string, bool](cacheSize), scratch: core.NewScratch(nil), nextFit: cfg.NextFitCursor}
+	e := &Engine{cfg: cfg, coreCache: lru.New[string, bool](cacheSize), scratch: core.NewScratch(nil), nextFit: cfg.NextFitCursor, hints: cfg.Hints}
+	// The seed hints serve this first analysis only: commit replaces
+	// them with the engine's own, and the engine keeps no reference to
+	// the caller's map.
+	e.cfg.Hints = nil
 	out, err := e.analyse(ctx, cp, false)
 	if err != nil {
 		return nil, nil, err
@@ -273,7 +286,7 @@ func (e *Engine) applyLocked(ctx context.Context, d task.Delta) (*Outcome, error
 			// the delta is durable; if it fails, the engine state (and
 			// the log) stay exactly as before, so memory and disk
 			// never diverge.
-			if err := e.onCommit(logged, cand, cursor); err != nil {
+			if err := e.onCommit(logged, cand, cursor, out.Result.Periods); err != nil {
 				return nil, fmt.Errorf("commit hook: %w", err)
 			}
 		}

@@ -53,6 +53,50 @@ func TestEngineBaseMatchesCold(t *testing.T) {
 	}
 }
 
+// Config.Hints seed the base analysis: exact ones are all verified,
+// wrong ones searched, and the outcome is the cold one either way.
+// The hook then hands the committed periods over aligned with the
+// committed set.
+func TestEngineSeedHints(t *testing.T) {
+	ctx := context.Background()
+	cold := coldResult(t, baseSet())
+	exact, wrong := map[string]task.Time{}, map[string]task.Time{}
+	for i, s := range baseSet().Security {
+		exact[s.Name], wrong[s.Name] = cold.Periods[i], cold.Periods[i]+1
+	}
+	for name, hints := range map[string]map[string]task.Time{"exact": exact, "wrong": wrong} {
+		eng, out, err := New(ctx, baseSet(), Config{Hints: hints})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(out.Result, cold) {
+			t.Fatalf("%s hints: base analysis diverged from cold", name)
+		}
+		sel := out.Stats.Selection
+		if name == "exact" && (sel.Verified != len(exact) || sel.Searched != 0) {
+			t.Fatalf("exact hints: %+v, want every task verified", sel)
+		}
+		if name == "wrong" && sel.Verified != 0 {
+			t.Fatalf("wrong hints: %+v, want no task verified", sel)
+		}
+		var hooked []task.Time
+		eng.SetOnCommit(func(_ task.Delta, state *task.Set, _ int, periods []task.Time) error {
+			if len(periods) != len(state.Security) {
+				t.Fatalf("hook periods %v not aligned with %d security tasks", periods, len(state.Security))
+			}
+			hooked = append([]task.Time(nil), periods...)
+			return nil
+		})
+		out, err = eng.Apply(ctx, task.Delta{Remove: []string{"sec1"}})
+		if err != nil || !out.Admitted {
+			t.Fatalf("remove: %+v %v", out, err)
+		}
+		if !reflect.DeepEqual(hooked, out.Result.Periods) {
+			t.Fatalf("hook saw periods %v, committed %v", hooked, out.Result.Periods)
+		}
+	}
+}
+
 func TestEngineAdmitSecurityMatchesCold(t *testing.T) {
 	eng, _, err := New(context.Background(), baseSet(), Config{})
 	if err != nil {

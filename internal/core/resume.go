@@ -20,6 +20,17 @@ import (
 // period under the monotone-feasibility assumption the binary search
 // itself rests on). A candidate that fails verification falls back to
 // the full search for that task; a missing candidate always searches.
+//
+// Verification probes minimality first: cand−1 must be infeasible
+// (skipped when cand is the lower bound), then cand must be feasible.
+// Either order computes the same conjunction of the same two verdicts,
+// but with the feasible probe last, its captured response vector is
+// the state after the fix (probeFrom == i, probeCand == cand). The
+// line-8 refresh folds that capture in, so the tasks below start from
+// near-final responses instead of re-climbing from all-Tmax ones. A
+// set verified end to end from exact Periods — restart recovery from
+// a snapshot's stored periods — therefore costs about two warm probes
+// per task.
 type Hints struct {
 	// Periods maps security-task name → previously selected period.
 	Periods map[string]task.Time
@@ -76,7 +87,9 @@ type ResumeStats struct {
 
 // SelectPeriodsResumable is SelectPeriodsCtx with warm-start hints:
 // identical results, bit for bit, with most of the per-task period
-// searches replaced by two-probe verifications when the hints match.
+// searches replaced by two-probe verifications when the hints match
+// (minimality probe first, so the feasible probe's capture becomes
+// the line-8 state; see Hints).
 //
 // It also reuses the response-time state Algorithm 1 threads through
 // its loop instead of recomputing every lower task after each fix
@@ -237,8 +250,11 @@ func SelectPeriodsResumableWith(ctx context.Context, ts *task.Set, opt Options, 
 			lo, hi := resp[i], sec[i].MaxPeriod
 			star := task.Time(-1)
 			if cand, ok := hints.Periods[sec[i].Name]; ok && cand >= lo && cand <= hi {
-				if lowerPrioritySchedulable(sc, sec, periods, resp, i, cand, opt.CarryIn) &&
-					(cand == lo || !lowerPrioritySchedulable(sc, sec, periods, resp, i, cand-1, opt.CarryIn)) {
+				// Minimality first: the same two-probe conjunction in
+				// the other order, so the feasible probe at cand runs
+				// last and its capture feeds the line-8 refresh below.
+				if (cand == lo || !lowerPrioritySchedulable(sc, sec, periods, resp, i, cand-1, opt.CarryIn)) &&
+					lowerPrioritySchedulable(sc, sec, periods, resp, i, cand, opt.CarryIn) {
 					star = cand
 					stats.Verified++
 				}
@@ -257,13 +273,14 @@ func SelectPeriodsResumableWith(ctx context.Context, ts *task.Set, opt Options, 
 			periods[i] = star
 			if sc.probeFrom == i && sc.probeCand == star {
 				// Line-8 capture, as in the non-resumable path: the
-				// search's last feasible probe was exactly the star, so
-				// its captured response vector and component caches ARE
-				// the post-fix state. Folding them in keeps every lower
-				// task's warm start near its final value — without this
-				// the cold searches below re-climb each fixpoint from
-				// the Tmax-era responses on every probe, which is what
-				// made large-n session bring-up superlinear.
+				// search's (or the verification's) last feasible probe
+				// was exactly the star, so its captured response vector
+				// and component caches ARE the post-fix state. Folding
+				// them in keeps every lower task's warm start near its
+				// final value — without this the cold searches below
+				// re-climb each fixpoint from the Tmax-era responses on
+				// every probe, which is what made large-n session
+				// bring-up superlinear.
 				copy(resp[i+1:], sc.probeResp[i+1:n])
 				copy(sc.rtAt[i+1:], sc.probeRT[i+1:n])
 				copy(sc.ncAt[i+1:], sc.probeNC[i+1:n])

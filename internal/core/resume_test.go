@@ -159,3 +159,83 @@ func TestFixpointIterationCapTerminates(t *testing.T) {
 		t.Fatal("creep set accepted; the iteration cap should have fired conservatively")
 	}
 }
+
+// A cold start seeded only with the periods of an earlier run — what
+// restart recovery and handoff hand the engine — must verify every
+// task without a search and return the cold Result bit for bit. Any
+// perturbation of those hints (off by one, names swapped, names
+// missing, periods outside [R, Tmax]) may cost searches but must
+// return the same Result.
+func TestHintOnlyColdStart(t *testing.T) {
+	ctx := context.Background()
+	rng := rand.New(rand.NewSource(2020))
+	checked := 0
+	for trial := 0; trial < 300; trial++ {
+		ts := resumeTestSet(rng)
+		// Grow the band past resumeTestSet's four monitors so most
+		// verifications run with tasks below them.
+		for i, want := len(ts.Security), 2+rng.Intn(7); i < want; i++ {
+			ts.Security = append(ts.Security, task.SecurityTask{
+				Name: "sec" + string(rune('a'+i)), WCET: 1 + task.Time(rng.Intn(3)),
+				MaxPeriod: task.Time(150 + rng.Intn(600)), Core: -1, Priority: i,
+			})
+		}
+		if err := ts.Validate(); err != nil {
+			continue
+		}
+		cold, err := SelectPeriodsCtx(ctx, ts, Options{})
+		if err != nil || !cold.Schedulable {
+			continue
+		}
+		n := len(ts.Security)
+		exact := map[string]task.Time{}
+		for i, s := range ts.Security {
+			exact[s.Name] = cold.Periods[i]
+		}
+		got, stats, err := SelectPeriodsResumable(ctx, ts, Options{}, &Hints{Periods: exact})
+		if err != nil {
+			t.Fatalf("trial %d: %v", trial, err)
+		}
+		if !reflect.DeepEqual(cold, got) {
+			t.Fatalf("trial %d: exact hints diverged from cold:\ncold %+v\ngot  %+v", trial, cold, got)
+		}
+		if stats.Verified != n || stats.Searched != 0 || stats.Adopted != 0 {
+			t.Fatalf("trial %d: exact hints gave %+v, want Verified=%d Searched=0", trial, *stats, n)
+		}
+		checked++
+
+		perturbed := map[string]map[string]task.Time{
+			"plus-one":  {},
+			"minus-one": {},
+			"swapped":   {},
+			"missing":   {},
+			"outside":   {},
+		}
+		for i, s := range ts.Security {
+			p := cold.Periods[i]
+			perturbed["plus-one"][s.Name] = p + 1
+			perturbed["minus-one"][s.Name] = p - 1
+			perturbed["swapped"][ts.Security[(i+1)%n].Name] = p
+			if i%2 == 1 {
+				perturbed["missing"][s.Name] = p
+			}
+			if i%2 == 0 {
+				perturbed["outside"][s.Name] = cold.Resp[i] - 1
+			} else {
+				perturbed["outside"][s.Name] = s.MaxPeriod + 1
+			}
+		}
+		for name, hints := range perturbed {
+			got, _, err := SelectPeriodsResumable(ctx, ts, Options{}, &Hints{Periods: hints})
+			if err != nil {
+				t.Fatalf("trial %d %s: %v", trial, name, err)
+			}
+			if !reflect.DeepEqual(cold, got) {
+				t.Fatalf("trial %d: %s hints changed the result:\ncold %+v\ngot  %+v", trial, name, cold, got)
+			}
+		}
+	}
+	if checked < 50 {
+		t.Fatalf("only %d schedulable trials; the generator no longer exercises hint-only starts", checked)
+	}
+}

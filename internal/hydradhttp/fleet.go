@@ -35,13 +35,18 @@ const maxHandoffBytes = 64 << 20
 // a genuine id conflict (409). Without it a retried POST whose first
 // attempt committed but whose 200 was lost would read as failure,
 // leaving the session alive on both nodes.
+//
+// Periods, when set, are the snapshot's committed periods by task
+// name: the receiver verifies them instead of searching again. They
+// are hints, so an absent or wrong map only costs that search.
 type handoffRequest struct {
-	Version   int               `json:"version"`
-	SessionID string            `json:"session_id"`
-	Token     string            `json:"token,omitempty"`
-	NextFit   int               `json:"next_fit"`
-	Set       json.RawMessage   `json:"set"`
-	Deltas    []json.RawMessage `json:"deltas"`
+	Version   int                    `json:"version"`
+	SessionID string                 `json:"session_id"`
+	Token     string                 `json:"token,omitempty"`
+	NextFit   int                    `json:"next_fit"`
+	Set       json.RawMessage        `json:"set"`
+	Deltas    []json.RawMessage      `json:"deltas"`
+	Periods   map[string]hydrac.Time `json:"periods,omitempty"`
 }
 
 // handoff dispatches /v1/handoff: POST imports a session streamed
@@ -105,7 +110,7 @@ func (s *server) handoff(w http.ResponseWriter, r *http.Request) {
 	// survived a restart.
 	switch {
 	case s.store != nil:
-		exp := store.Export{Set: req.Set, Cursor: req.NextFit, Deltas: make([][]byte, len(req.Deltas))}
+		exp := store.Export{Set: req.Set, Cursor: req.NextFit, Deltas: make([][]byte, len(req.Deltas)), Periods: req.Periods}
 		for i, d := range req.Deltas {
 			exp.Deltas[i] = d
 		}
@@ -135,7 +140,7 @@ func (s *server) handoff(w http.ResponseWriter, r *http.Request) {
 			writeError(w, http.StatusConflict, fmt.Errorf("session %q already exists", req.SessionID))
 			return
 		}
-		sess, _, err := s.analyzer.NewSessionWith(r.Context(), set, hydrac.SessionConfig{NextFitCursor: req.NextFit})
+		sess, _, err := s.analyzer.NewSessionWith(r.Context(), set, hydrac.SessionConfig{NextFitCursor: req.NextFit, Hints: req.Periods})
 		if err != nil {
 			writeError(w, http.StatusUnprocessableEntity, fmt.Errorf("re-analysing handoff snapshot: %w", err))
 			return
@@ -400,6 +405,7 @@ func postHandoff(ctx context.Context, hc *hydraclient.Client, target, id, token 
 		NextFit:   exp.Cursor,
 		Set:       exp.Set,
 		Deltas:    make([]json.RawMessage, len(exp.Deltas)),
+		Periods:   exp.Periods,
 	}
 	for i, d := range exp.Deltas {
 		req.Deltas[i] = d

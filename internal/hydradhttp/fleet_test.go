@@ -513,3 +513,50 @@ func TestFleetHandoffTokenMemoryMode(t *testing.T) {
 		t.Fatalf("PUT /v1/handoff: %d, want 405", resp4.StatusCode)
 	}
 }
+
+// The optional periods of a handoff are hints: a memory-mode or
+// durable receiver given exact, wrong or no periods holds the sender's
+// session and answers its next delta with the sender's exact report.
+func TestFleetHandoffPeriodsAreHints(t *testing.T) {
+	for _, durable := range []bool{false, true} {
+		a, b := startFleetPair(t, durable)
+		id := createSession(t, b.url())
+		var last []byte
+		for i := 0; i < 3; i++ {
+			resp, body := post(t, b.url()+"/v1/session/"+id+"/admit", admitBody(t, i))
+			if resp.StatusCode != http.StatusOK {
+				t.Fatalf("admit: %d %s", resp.StatusCode, body)
+			}
+			last = body
+		}
+		_, set := get(t, b.url()+"/v1/session/"+id)
+		var rep struct {
+			Tasks []struct {
+				Name   string      `json:"name"`
+				Period hydrac.Time `json:"period"`
+			} `json:"tasks"`
+		}
+		if err := json.Unmarshal(last, &rep); err != nil {
+			t.Fatal(err)
+		}
+		exact, wrong := map[string]hydrac.Time{}, map[string]hydrac.Time{}
+		for _, v := range rep.Tasks {
+			exact[v.Name], wrong[v.Name] = v.Period, v.Period+1
+		}
+		_, want := post(t, b.url()+"/v1/session/"+id+"/admit", admitBody(t, 3))
+
+		for name, periods := range map[string]map[string]hydrac.Time{"exact": exact, "wrong": wrong, "none": nil} {
+			copyID := "copy-" + name
+			hreq, _ := json.Marshal(map[string]any{
+				"version": 1, "session_id": copyID, "next_fit": 0,
+				"set": json.RawMessage(set), "deltas": []json.RawMessage{}, "periods": periods,
+			})
+			if resp, body := post(t, a.url()+"/v1/handoff", hreq); resp.StatusCode != http.StatusOK {
+				t.Fatalf("durable=%v %s: handoff: %d %s", durable, name, resp.StatusCode, body)
+			}
+			if _, got := post(t, a.url()+"/v1/session/"+copyID+"/admit", admitBody(t, 3)); !bytes.Equal(got, want) {
+				t.Fatalf("durable=%v %s periods: next report differs from the sender's:\ngot  %s\nwant %s", durable, name, got, want)
+			}
+		}
+	}
+}

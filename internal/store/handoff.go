@@ -32,6 +32,11 @@ type Export struct {
 	Cursor int
 	// Deltas are the WAL records (encoded deltas) after the snapshot.
 	Deltas [][]byte
+	// Periods are the snapshot's committed periods by task name, nil
+	// when it has none. The receiver stores them with its snapshot, so
+	// the session is verified on arrival, not searched again; like
+	// every recovery hint they cannot change the result.
+	Periods map[string]hydrac.Time
 }
 
 // Detach hands the session off: it freezes the session (waiting out
@@ -105,7 +110,7 @@ func (s *Store) Detach(ctx context.Context, id string, transfer func(Export) err
 // exportLocked reads e's durable state from disk. e.mu must be
 // write-held with the live WAL handle closed.
 func (s *Store) exportLocked(e *entry) (Export, error) {
-	gen, raw, cursor, err := readLatestSnapshotRaw(e.dir)
+	gen, sf, _, err := readLatestSnapshot(e.dir)
 	if err != nil {
 		return Export{}, err
 	}
@@ -113,7 +118,7 @@ func (s *Store) exportLocked(e *entry) (Export, error) {
 	if err != nil {
 		return Export{}, err
 	}
-	return Export{Set: raw, Cursor: cursor, Deltas: recs}, nil
+	return Export{Set: sf.Set, Cursor: sf.NextFit, Deltas: recs, Periods: sf.Periods}, nil
 }
 
 // tokenFile marks a completed import inside a session directory: it
@@ -243,7 +248,7 @@ func (s *Store) importLocked(ctx context.Context, e *entry, exp Export, token st
 	if err := os.MkdirAll(e.dir, 0o755); err != nil {
 		return fmt.Errorf("%w: %v", ErrStorage, err)
 	}
-	if err := writeSnapshot(s.fs, e.dir, 0, set, exp.Cursor); err != nil {
+	if err := writeSnapshot(s.fs, e.dir, 0, set, exp.Cursor, exp.Periods); err != nil {
 		return fmt.Errorf("%w: %v", ErrStorage, err)
 	}
 	l, _, err := wal.Open(e.dir, s.walOptions(0))
@@ -275,30 +280,4 @@ func (s *Store) importLocked(ctx context.Context, e *entry, exp Export, token st
 		}
 	}
 	return nil
-}
-
-// readLatestSnapshotRaw is readLatestSnapshot without decoding the
-// set: handoff ships the snapshot's raw bytes so the receiver
-// persists exactly what the sender held.
-func readLatestSnapshotRaw(dir string) (gen uint64, set json.RawMessage, cursor int, err error) {
-	gens, err := listSnapshotGens(dir)
-	if err != nil {
-		return 0, nil, 0, err
-	}
-	if len(gens) == 0 {
-		return 0, nil, 0, fmt.Errorf("no snapshot in %s", dir)
-	}
-	gen = gens[len(gens)-1]
-	raw, err := os.ReadFile(snapshotPath(dir, gen))
-	if err != nil {
-		return 0, nil, 0, err
-	}
-	var sf snapshotFile
-	if err := json.Unmarshal(raw, &sf); err != nil {
-		return 0, nil, 0, fmt.Errorf("parsing snapshot generation %d: %w", gen, err)
-	}
-	if sf.Version != snapshotVersion {
-		return 0, nil, 0, fmt.Errorf("snapshot generation %d has version %d, this build reads %d", gen, sf.Version, snapshotVersion)
-	}
-	return gen, sf.Set, sf.NextFit, nil
 }

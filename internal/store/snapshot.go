@@ -15,7 +15,8 @@ import (
 )
 
 // snapshotVersion guards the snapshot format; bump on incompatible
-// change and teach readSnapshot both shapes.
+// change and teach readSnapshot both shapes. Optional fields that an
+// older reader may ignore (periods) do not bump it.
 const snapshotVersion = 1
 
 // snapshotFile is the on-disk shape of snap-<gen>.json: the fully
@@ -26,6 +27,25 @@ type snapshotFile struct {
 	Version int             `json:"version"`
 	NextFit int             `json:"next_fit"`
 	Set     json.RawMessage `json:"set"`
+	// Periods maps security-task name → the period the set was
+	// committed with; absent when that state was unschedulable. They
+	// are recovery hints (hydrac.SessionConfig.Hints), verified before
+	// use, so a missing or wrong entry costs a search, never a
+	// different result.
+	Periods map[string]hydrac.Time `json:"periods,omitempty"`
+}
+
+// periodMap keys a committed selection by task name: periods aligned
+// with sec, nil (unschedulable) giving nil.
+func periodMap(sec []hydrac.SecurityTask, periods []hydrac.Time) map[string]hydrac.Time {
+	if periods == nil {
+		return nil
+	}
+	m := make(map[string]hydrac.Time, len(sec))
+	for i, s := range sec {
+		m[s.Name] = periods[i]
+	}
+	return m
 }
 
 func snapshotPath(dir string, gen uint64) string {
@@ -38,7 +58,7 @@ func snapshotPath(dir string, gen uint64) string {
 // one, never a torn one, which is what lets readLatestSnapshot treat
 // any present snapshot as authoritative. All writes go through the
 // store's filesystem seam so the chaos suite can fail any step.
-func writeSnapshot(fs faultfs.FS, dir string, gen uint64, set *hydrac.TaskSet, cursor int) error {
+func writeSnapshot(fs faultfs.FS, dir string, gen uint64, set *hydrac.TaskSet, cursor int, periods map[string]hydrac.Time) error {
 	var setBuf bytes.Buffer
 	if err := hydrac.EncodeTaskSet(&setBuf, set); err != nil {
 		return fmt.Errorf("encoding snapshot set: %w", err)
@@ -47,6 +67,7 @@ func writeSnapshot(fs faultfs.FS, dir string, gen uint64, set *hydrac.TaskSet, c
 		Version: snapshotVersion,
 		NextFit: cursor,
 		Set:     json.RawMessage(setBuf.Bytes()),
+		Periods: periods,
 	})
 	if err != nil {
 		return fmt.Errorf("encoding snapshot: %w", err)
@@ -77,24 +98,21 @@ func writeSnapshot(fs faultfs.FS, dir string, gen uint64, set *hydrac.TaskSet, c
 	return fs.SyncDir(dir)
 }
 
-// readSnapshot loads and validates one generation's snapshot.
-func readSnapshot(dir string, gen uint64) (*hydrac.TaskSet, int, error) {
+// readSnapshot loads one generation's snapshot and checks its
+// version. The set stays raw until a caller decodes it.
+func readSnapshot(dir string, gen uint64) (*snapshotFile, error) {
 	raw, err := os.ReadFile(snapshotPath(dir, gen))
 	if err != nil {
-		return nil, 0, err
+		return nil, err
 	}
 	var sf snapshotFile
 	if err := json.Unmarshal(raw, &sf); err != nil {
-		return nil, 0, fmt.Errorf("parsing snapshot generation %d: %w", gen, err)
+		return nil, fmt.Errorf("parsing snapshot generation %d: %w", gen, err)
 	}
 	if sf.Version != snapshotVersion {
-		return nil, 0, fmt.Errorf("snapshot generation %d has version %d, this build reads %d", gen, sf.Version, snapshotVersion)
+		return nil, fmt.Errorf("snapshot generation %d has version %d, this build reads %d", gen, sf.Version, snapshotVersion)
 	}
-	set, err := hydrac.DecodeTaskSet(bytes.NewReader(sf.Set))
-	if err != nil {
-		return nil, 0, fmt.Errorf("decoding snapshot generation %d set: %w", gen, err)
-	}
-	return set, sf.NextFit, nil
+	return &sf, nil
 }
 
 // listSnapshotGens returns every generation with a snap-<gen>.json in
@@ -130,19 +148,19 @@ func hasSnapshot(dir string) bool {
 // present generation is always complete — and returns the superseded
 // generations for cleanup. A snapshot that fails to parse is an error,
 // not a fallback: falling back a generation would silently rewind
-// acknowledged state.
-func readLatestSnapshot(dir string) (gen uint64, set *hydrac.TaskSet, cursor int, stale []uint64, err error) {
+// acknowledged state. The set stays raw: handoff ships those bytes
+// verbatim so the receiver persists exactly what the sender held.
+func readLatestSnapshot(dir string) (gen uint64, sf *snapshotFile, stale []uint64, err error) {
 	gens, err := listSnapshotGens(dir)
 	if err != nil {
-		return 0, nil, 0, nil, err
+		return 0, nil, nil, err
 	}
 	if len(gens) == 0 {
-		return 0, nil, 0, nil, fmt.Errorf("no snapshot in %s", dir)
+		return 0, nil, nil, fmt.Errorf("no snapshot in %s", dir)
 	}
 	gen = gens[len(gens)-1]
-	set, cursor, err = readSnapshot(dir, gen)
-	if err != nil {
-		return 0, nil, 0, nil, err
+	if sf, err = readSnapshot(dir, gen); err != nil {
+		return 0, nil, nil, err
 	}
-	return gen, set, cursor, gens[:len(gens)-1], nil
+	return gen, sf, gens[:len(gens)-1], nil
 }

@@ -12,7 +12,16 @@
 // Per-session on-disk layout (<root>/<id>/):
 //
 //	snap-<gen>.json   snapshot: placed task set + placement cursor
+//	                  (+ its committed periods, when schedulable)
 //	g<gen>-NNNNNNNN.wal  CRC-framed segments of committed deltas
+//
+// The snapshot's periods are recovery hints: the re-analysis of the
+// snapshot set verifies each one minimal with two feasibility probes
+// instead of searching for it again, and a missing or wrong period
+// only costs that search (core.Hints), so the hints make recovery
+// faster without making it different. Open recovers sessions in
+// parallel, one GOMAXPROCS-sized chunk at a time, and still fills the
+// live set in directory order.
 //
 // Commit ordering: the session's commit hook appends the delta to the
 // WAL (and fsyncs) BEFORE the engine installs the new state, so an
@@ -33,6 +42,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"runtime"
 	"sort"
 	"sync"
 	"time"
@@ -40,6 +50,7 @@ import (
 	"hydrac"
 	"hydrac/internal/faultfs"
 	"hydrac/internal/lru"
+	"hydrac/internal/rta"
 	"hydrac/internal/wal"
 )
 
@@ -226,7 +237,7 @@ func Open(dir string, a *hydrac.Analyzer, opt Options) (*Store, error) {
 	if err != nil {
 		return nil, fmt.Errorf("store: scanning root: %w", err)
 	}
-	ctx := context.Background()
+	var found []*entry // directory (sorted) order
 	for _, de := range dirents {
 		if !de.IsDir() {
 			continue
@@ -244,22 +255,52 @@ func Open(dir string, a *hydrac.Analyzer, opt Options) (*Store, error) {
 			_ = os.RemoveAll(e.dir)
 			continue
 		}
-		e.mu.Lock()
-		err := s.rehydrate(ctx, e)
-		e.mu.Unlock()
-		if err != nil {
-			return nil, fmt.Errorf("store: recovering session %s: %w", id, err)
-		}
-		s.entries[id] = e
-		// The LRU caps how many recovered engines stay warm; evicted
-		// ones were still verified by the replay above.
-		s.live.Add(id, e)
+		found = append(found, e)
+	}
+	if err := s.recoverAll(found); err != nil {
+		return nil, err
 	}
 	if opt.ProbeEvery > 0 {
 		s.wg.Add(1)
 		go s.probeLoop()
 	}
 	return s, nil
+}
+
+// recoverAll re-hydrates found (in directory order) in chunks of
+// GOMAXPROCS sessions recovered in parallel. Each chunk enters the
+// entry map and the live LRU in directory order, exactly as a serial
+// loop would add them, so the live set is the same and at most
+// MaxLive + one chunk of engines is ever materialised. The error names
+// the first failing session in directory order — the one the serial
+// loop would have stopped at — and every engine recovered so far is
+// closed again.
+func (s *Store) recoverAll(found []*entry) error {
+	ctx := context.Background()
+	workers := runtime.GOMAXPROCS(0)
+	errs := make([]error, workers)
+	for start := 0; start < len(found); start += workers {
+		chunk := found[start:min(start+workers, len(found))]
+		rta.ParallelFor(len(chunk), workers, func(i int) {
+			e := chunk[i]
+			e.mu.Lock()
+			errs[i] = s.rehydrate(ctx, e)
+			e.mu.Unlock()
+		})
+		for i, e := range chunk {
+			if errs[i] != nil {
+				for _, e := range found[:start+len(chunk)] {
+					e.close()
+				}
+				return fmt.Errorf("store: recovering session %s: %w", e.id, errs[i])
+			}
+			s.entries[e.id] = e
+			// The LRU caps how many recovered engines stay warm;
+			// evicted ones were still verified by the replay above.
+			s.live.Add(e.id, e)
+		}
+	}
+	return nil
 }
 
 // probeLoop periodically re-arms degraded sessions until Close.
@@ -445,7 +486,14 @@ func (s *Store) createLocked(ctx context.Context, e *entry, base *hydrac.TaskSet
 	if err := os.MkdirAll(e.dir, 0o755); err != nil {
 		return nil, fmt.Errorf("%w: %v", ErrStorage, err)
 	}
-	if err := writeSnapshot(s.fs, e.dir, 0, sess.Set(), sess.PlacementCursor()); err != nil {
+	var periods map[string]hydrac.Time
+	if rep.Schedulable {
+		periods = make(map[string]hydrac.Time, len(rep.Tasks))
+		for _, t := range rep.Tasks {
+			periods[t.Name] = t.Period
+		}
+	}
+	if err := writeSnapshot(s.fs, e.dir, 0, sess.Set(), sess.PlacementCursor(), periods); err != nil {
 		return nil, fmt.Errorf("%w: %v", ErrStorage, err)
 	}
 	l, _, err := wal.Open(e.dir, s.walOptions(0))
@@ -563,15 +611,22 @@ func (s *Store) rehydrate(ctx context.Context, e *entry) error {
 // old state when staging fails. e.mu must be write-held (it guards the
 // directory against concurrent compaction).
 func (s *Store) loadFromDisk(ctx context.Context, e *entry) (*hydrac.Session, *wal.Log, uint64, []uint64, error) {
-	gen, set, cursor, stale, err := readLatestSnapshot(e.dir)
+	gen, sf, stale, err := readLatestSnapshot(e.dir)
 	if err != nil {
 		return nil, nil, 0, nil, err
+	}
+	set, err := hydrac.DecodeTaskSet(bytes.NewReader(sf.Set))
+	if err != nil {
+		return nil, nil, 0, nil, fmt.Errorf("decoding snapshot generation %d set: %w", gen, err)
 	}
 	l, recs, err := wal.Open(e.dir, s.walOptions(gen))
 	if err != nil {
 		return nil, nil, 0, nil, err
 	}
-	sess, _, err := s.a.NewSessionWith(ctx, set, hydrac.SessionConfig{NextFitCursor: cursor})
+	// The stored periods turn the snapshot's re-analysis into
+	// verification; they are hints, so the session is the same with or
+	// without them.
+	sess, _, err := s.a.NewSessionWith(ctx, set, hydrac.SessionConfig{NextFitCursor: sf.NextFit, Hints: sf.Periods})
 	if err != nil {
 		l.Close()
 		return nil, nil, 0, nil, fmt.Errorf("re-analysing snapshot: %w", err)
@@ -622,7 +677,7 @@ func (s *Store) install(e *entry, sess *hydrac.Session, l *wal.Log, gen uint64, 
 // that triggered it.
 func (s *Store) hookFor(e *entry) hydrac.CommitHook {
 	var buf bytes.Buffer
-	return func(d hydrac.Delta, state *hydrac.TaskSet, cursor int) error {
+	return func(d hydrac.Delta, state *hydrac.TaskSet, cursor int, periods []hydrac.Time) error {
 		if err := e.fault(); err != nil {
 			return fmt.Errorf("%w: session is read-only after a storage fault (a probe re-arms it once the disk heals): %v", ErrDegraded, err)
 		}
@@ -641,7 +696,7 @@ func (s *Store) hookFor(e *entry) hydrac.CommitHook {
 			return fmt.Errorf("%w: %v", ErrStorage, err)
 		}
 		if e.wal.Count() >= s.opt.CompactEvery {
-			s.compact(e, state, cursor)
+			s.compact(e, state, cursor, periods)
 		}
 		return nil
 	}
@@ -657,9 +712,9 @@ func (s *Store) hookFor(e *entry) hydrac.CommitHook {
 // degraded read-only mode — further live commits would land in a log
 // recovery no longer reads — until a probe re-arms it from the new
 // generation.
-func (s *Store) compact(e *entry, state *hydrac.TaskSet, cursor int) {
+func (s *Store) compact(e *entry, state *hydrac.TaskSet, cursor int, periods []hydrac.Time) {
 	next := e.gen + 1
-	if err := writeSnapshot(s.fs, e.dir, next, state, cursor); err != nil {
+	if err := writeSnapshot(s.fs, e.dir, next, state, cursor, periodMap(state.Security, periods)); err != nil {
 		// Old generation still whole and still current: skip this
 		// compaction and retry at the next commit.
 		s.logf("store: session %s: compaction snapshot failed (will retry): %v", e.id, err)

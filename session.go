@@ -61,6 +61,13 @@ type SessionConfig struct {
 	// fresh sessions. Pair it with the PlacementCursor of the session
 	// whose state is being restored.
 	NextFitCursor int
+	// Hints maps security-task name → the period the restored state
+	// was committed with (see CommitHook). They seed the first
+	// analysis and are advisory: each is verified minimal with two
+	// feasibility probes before use, so a stale, missing or wrong
+	// entry costs a search, never a different report. Exact hints turn
+	// the initial period search into verification.
+	Hints map[string]Time
 }
 
 // CommitHook observes every committed delta of a session: it runs
@@ -70,9 +77,11 @@ type SessionConfig struct {
 // "committed" imply "durable": append-and-fsync in the hook, and no
 // acknowledged delta can be lost to a crash. state is the set as it
 // will be once installed and cursor the matching placement cursor;
-// the hook must not retain state (it is engine-owned) or call back
-// into the session.
-type CommitHook func(d Delta, state *TaskSet, cursor int) error
+// periods are its selected periods aligned with state.Security, nil
+// when state is unschedulable — what SessionConfig.Hints restores.
+// The hook must not retain state or periods (both engine-owned) or
+// call back into the session.
+type CommitHook func(d Delta, state *TaskSet, cursor int, periods []Time) error
 
 // NewSession opens a session over base and returns the initial
 // report. The base set is committed even when its security band is
@@ -89,6 +98,7 @@ func (a *Analyzer) NewSessionWith(ctx context.Context, base *TaskSet, cfg Sessio
 		Opts:          a.opts,
 		Heuristic:     a.heuristic,
 		NextFitCursor: cfg.NextFitCursor,
+		Hints:         cfg.Hints,
 	})
 	if err != nil {
 		return nil, nil, err
@@ -106,11 +116,7 @@ func (a *Analyzer) NewSessionWith(ctx context.Context, base *TaskSet, cfg Sessio
 // store attaches it between recovery replay (which must not re-log
 // the deltas being replayed) and serving.
 func (s *Session) SetCommitHook(f CommitHook) {
-	if f == nil {
-		s.eng.SetOnCommit(nil)
-		return
-	}
-	s.eng.SetOnCommit(func(d Delta, state *TaskSet, cursor int) error { return f(d, state, cursor) })
+	s.eng.SetOnCommit(f)
 }
 
 // PlacementCursor returns the committed state's next-fit placement
