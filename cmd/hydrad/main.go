@@ -21,9 +21,9 @@
 // X-Hydra-Owner, a background prober (interval -probe-every) marks
 // unreachable peers down so their sessions fail over to the ring
 // successor, and SIGTERM triggers a graceful drain: new sessions are
-// redirected away while every durable session is streamed to its
-// successor over POST /v1/handoff (bounded by -drain-timeout), so a
-// rolling restart loses no acknowledged delta.
+// redirected away while every session is streamed to its successor
+// over POST /v1/handoff (bounded by -drain-timeout), so a rolling
+// restart loses no acknowledged delta.
 //
 // -pprof exposes net/http/pprof on a SEPARATE listener restricted to
 // loopback addresses (off by default), so production hot spots can be
@@ -57,10 +57,11 @@
 // "schedulable": false report means the delta was DENIED and the
 // session state is unchanged (removal-only deltas always commit).
 //
-// Sessions live in a fixed-capacity LRU (-sessions). Without
-// -data-dir the least recently used session is LOST on eviction, and
-// later requests against it answer 410 Gone (a bare 404 means the id
-// never existed). With -data-dir every session is durable: creation
+// Sessions live in one session store (internal/store) whose live LRU
+// holds exactly -sessions of them. Without -data-dir the store is in
+// memory only: the least recently used session is LOST on eviction,
+// and later requests against it answer 410 Gone (a bare 404 means the
+// id never existed). With -data-dir every session is durable: creation
 // snapshots the base set, every committed delta is appended to a
 // per-session write-ahead log (fsynced before the commit is
 // acknowledged unless -wal-sync=false), evicted sessions re-hydrate

@@ -91,8 +91,9 @@ type Outcome struct {
 }
 
 // Engine is the live admission state. All methods are safe for
-// concurrent use; deltas are serialized in arrival order and the
-// committed-delta log records that order for deterministic replay.
+// concurrent use; deltas are serialized in arrival order, and the
+// commit hook sees them in that order, so replaying what it saw
+// reproduces the committed state.
 type Engine struct {
 	mu    sync.Mutex
 	cfg   Config
@@ -121,11 +122,10 @@ type Engine struct {
 	// allocating. Never handed out to callers.
 	scratch *core.Scratch
 	nextFit int // next-fit cursor across incremental placements
-	log     []task.Delta
 	// onCommit, when set, is invoked for every delta that will commit —
 	// after analysis admits it, before the state installs. An error
-	// aborts the commit (the delta is neither installed nor logged), so
-	// a persistence layer can make "committed" mean "durable".
+	// aborts the commit (the delta is not installed), so a persistence
+	// layer can make "committed" mean "durable".
 	onCommit func(d task.Delta, state *task.Set, cursor int, periods []task.Time) error
 }
 
@@ -133,9 +133,9 @@ type Engine struct {
 // engine is shared across goroutines (a recovery manager sets it
 // between replay and serving); the hook runs under the engine lock
 // and must not call back into the engine or retain state or periods
-// (both engine-owned). periods are the committed state's selected
-// periods aligned with state.Security, nil when that state is
-// unschedulable.
+// (both engine-owned). d shares its slices with the delta the caller
+// passed in. periods are the committed state's selected periods
+// aligned with state.Security, nil when that state is unschedulable.
 func (e *Engine) SetOnCommit(f func(d task.Delta, state *task.Set, cursor int, periods []task.Time) error) {
 	e.mu.Lock()
 	defer e.mu.Unlock()
@@ -275,24 +275,16 @@ func (e *Engine) applyLocked(ctx context.Context, d task.Delta) (*Outcome, error
 	}
 	out.Admitted = out.Result.Schedulable || d.RemovalOnly()
 	if out.Admitted {
-		// Log a private copy: the caller keeps ownership of d's slices.
-		logged := task.Delta{
-			Remove:      append([]string(nil), d.Remove...),
-			AddRT:       append([]task.RTTask(nil), d.AddRT...),
-			AddSecurity: append([]task.SecurityTask(nil), d.AddSecurity...),
-		}
 		if e.onCommit != nil {
 			// Persistence before installation: once the hook returns,
-			// the delta is durable; if it fails, the engine state (and
-			// the log) stay exactly as before, so memory and disk
-			// never diverge.
-			if err := e.onCommit(logged, cand, cursor, out.Result.Periods); err != nil {
+			// the delta is durable; if it fails, the engine state stays
+			// exactly as before, so memory and disk never diverge.
+			if err := e.onCommit(d, cand, cursor, out.Result.Periods); err != nil {
 				return nil, fmt.Errorf("commit hook: %w", err)
 			}
 		}
 		e.commit(cand, out.Result)
 		e.nextFit = cursor
-		e.log = append(e.log, logged)
 	}
 	return out, nil
 }
@@ -529,14 +521,4 @@ func (e *Engine) Snapshot() *task.Set {
 	e.mu.Lock()
 	defer e.mu.Unlock()
 	return e.set.Clone()
-}
-
-// Log returns a copy of the committed deltas in commit order. A serial
-// replay of Log over the same base set through a fresh engine
-// reproduces the committed state exactly — the property the
-// concurrency stress tests assert.
-func (e *Engine) Log() []task.Delta {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	return append([]task.Delta(nil), e.log...)
 }

@@ -163,6 +163,11 @@ func TestEngineDeniesUnschedulableAdmission(t *testing.T) {
 		t.Fatal(err)
 	}
 	before := eng.Snapshot()
+	hooked := false
+	eng.SetOnCommit(func(task.Delta, *task.Set, int, []task.Time) error {
+		hooked = true
+		return nil
+	})
 	// A security task whose WCET swamps both cores cannot be admitted.
 	out, err := eng.Apply(context.Background(), task.Delta{
 		AddSecurity: []task.SecurityTask{{Name: "hog", WCET: 190, MaxPeriod: 200, Core: -1, Priority: 2}},
@@ -176,8 +181,8 @@ func TestEngineDeniesUnschedulableAdmission(t *testing.T) {
 	if before.Hash() != eng.Snapshot().Hash() {
 		t.Fatal("denied delta mutated the engine state")
 	}
-	if len(eng.Log()) != 0 {
-		t.Fatal("denied delta logged")
+	if hooked {
+		t.Fatal("commit hook called for a denied delta")
 	}
 	// The engine must still admit afterwards (hints survived).
 	out2, err := eng.Apply(context.Background(), task.Delta{
@@ -309,6 +314,11 @@ func TestEngineReplayDeterminism(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	var committed []task.Delta
+	eng.SetOnCommit(func(d task.Delta, _ *task.Set, _ int, _ []task.Time) error {
+		committed = append(committed, d)
+		return nil
+	})
 	deltas := []task.Delta{
 		{AddSecurity: []task.SecurityTask{{Name: "s2", WCET: 1, MaxPeriod: 250, Core: -1, Priority: 2}}},
 		{AddRT: []task.RTTask{{Name: "rt3", WCET: 1, Period: 15, Deadline: 15, Core: -1, Priority: 3}}},
@@ -324,7 +334,7 @@ func TestEngineReplayDeterminism(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, d := range eng.Log() {
+	for _, d := range committed {
 		if _, err := replay.Apply(ctx, d); err != nil {
 			t.Fatal(err)
 		}

@@ -247,8 +247,8 @@ func TestFleetHandoffIntoMemoryMode(t *testing.T) {
 	}
 	_, wantBody := get(t, b.url()+"/v1/session/"+id)
 
-	// Hand the session to A by hand (memory mode has no Drain path):
-	// ship the CURRENT set as snapshot with no deltas.
+	// Hand a copy of the session to A by hand, the way a memory-mode
+	// Drain ships it: the CURRENT set as snapshot with no deltas.
 	hreq, _ := json.Marshal(map[string]any{
 		"version": 1, "session_id": "copy-" + id, "next_fit": 0,
 		"set": json.RawMessage(wantBody), "deltas": []json.RawMessage{},
@@ -267,6 +267,45 @@ func TestFleetHandoffIntoMemoryMode(t *testing.T) {
 	resp3, _ := post(t, a.url()+"/v1/handoff", bad)
 	if resp3.StatusCode != http.StatusBadRequest {
 		t.Fatalf("bad version: %d, want 400", resp3.StatusCode)
+	}
+}
+
+// A memory-mode Drain hands every session off like a durable one:
+// nothing stays behind, the receiver serves each set byte-identical,
+// and the drained node redirects to it.
+func TestFleetDrainMemoryMode(t *testing.T) {
+	a, b := startFleetPair(t, false)
+	want := map[string][]byte{}
+	for i := 0; i < 3; i++ {
+		id := createSession(t, a.url())
+		if resp, body := post(t, a.url()+"/v1/session/"+id+"/admit", admitBody(t, i)); resp.StatusCode != http.StatusOK {
+			t.Fatalf("admit: %d %s", resp.StatusCode, body)
+		}
+		resp, body := get(t, a.url()+"/v1/session/"+id)
+		if resp.StatusCode != http.StatusOK {
+			t.Fatalf("pre-drain GET: %d", resp.StatusCode)
+		}
+		want[id] = body
+	}
+
+	moved, kept := a.handler.Load().Drain(context.Background())
+	if moved != len(want) || kept != 0 {
+		t.Fatalf("Drain moved %d kept %d, want %d/0", moved, kept, len(want))
+	}
+	nr := noRedirect()
+	for id, wantBody := range want {
+		resp, err := nr.Get(a.url() + "/v1/session/" + id)
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusTemporaryRedirect || resp.Header.Get("X-Hydra-Owner") != b.url() {
+			t.Fatalf("drained node GET: %d owner %q, want 307 to %s", resp.StatusCode, resp.Header.Get("X-Hydra-Owner"), b.url())
+		}
+		got, body := get(t, b.url()+"/v1/session/"+id)
+		if got.StatusCode != http.StatusOK || !bytes.Equal(body, wantBody) {
+			t.Fatalf("session %s on the receiver: %d\ngot  %s\nwant %s", id, got.StatusCode, body, wantBody)
+		}
 	}
 }
 

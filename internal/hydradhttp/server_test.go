@@ -92,9 +92,8 @@ func TestMemoryModeEvictionSurfacesGone(t *testing.T) {
 		t.Fatal(err)
 	}
 	var logs bytes.Buffer
-	// MaxSessions 1 falls below the sharded store's minimum shard
-	// capacity, so it degrades to a single LRU of capacity 1: the
-	// second create always evicts the first.
+	// The memory store's live LRU holds exactly MaxSessions sessions,
+	// so the second create always evicts the first.
 	srv := httptest.NewServer(hydradhttp.NewHandler(hydradhttp.Config{
 		Analyzer: a, MaxSessions: 1, CacheSize: 8,
 		Logf: func(format string, args ...any) { fmt.Fprintf(&logs, format+"\n", args...) },
@@ -120,6 +119,38 @@ func TestMemoryModeEvictionSurfacesGone(t *testing.T) {
 	}
 	if resp, _ := get(t, srv.URL+"/v1/session/deadbeef"); resp.StatusCode != http.StatusNotFound {
 		t.Fatalf("unknown session: got %d, want 404", resp.StatusCode)
+	}
+}
+
+// -sessions N is exact in memory mode: of 2N sessions created, the N
+// most recent stay live and the N before them answer 410.
+func TestMemoryModeSessionCapIsExact(t *testing.T) {
+	a, err := hydrac.New()
+	if err != nil {
+		t.Fatal(err)
+	}
+	const live = 64
+	srv := httptest.NewServer(hydradhttp.NewHandler(hydradhttp.Config{Analyzer: a, MaxSessions: live, CacheSize: 8}))
+	defer srv.Close()
+
+	ids := make([]string, 2*live)
+	for i := range ids {
+		ids[i] = createSession(t, srv.URL)
+	}
+	counts := map[int]int{}
+	for i, id := range ids {
+		resp, body := get(t, srv.URL+"/v1/session/"+id)
+		counts[resp.StatusCode]++
+		want := http.StatusOK
+		if i < live {
+			want = http.StatusGone
+		}
+		if resp.StatusCode != want {
+			t.Errorf("session %d of %d: got %d %s, want %d", i, len(ids), resp.StatusCode, body, want)
+		}
+	}
+	if counts[http.StatusOK] != live || counts[http.StatusGone] != live {
+		t.Fatalf("status counts %v, want %d live (200) and %d evicted (410)", counts, live, live)
 	}
 }
 

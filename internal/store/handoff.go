@@ -40,13 +40,15 @@ type Export struct {
 }
 
 // Detach hands the session off: it freezes the session (waiting out
-// in-flight operations), reads its snapshot + committed-delta log
-// from disk, and calls transfer with the export. Only if transfer
-// returns nil is the local copy surrendered — marked moved (further
-// Acquires return ErrMoved) and deleted from disk, so a restart can
-// never resurrect a stale twin of a session another node now owns.
-// On transfer failure the session stays fully local and intact: the
-// next Acquire re-hydrates it from the untouched disk state.
+// in-flight operations), exports it, and calls transfer with the
+// export. A durable session exports its snapshot + committed-delta
+// log from disk; a memory session exports its live set and cursor
+// with no deltas. Only if transfer returns nil is the local copy
+// surrendered — marked moved (further Acquires return ErrMoved) and
+// deleted, so a restart can never resurrect a stale twin of a session
+// another node now owns. On transfer failure the session stays fully
+// local and intact: a durable one re-hydrates from the untouched disk
+// state on the next Acquire, a memory one never stopped being live.
 //
 // The entry lock is held across transfer, so a concurrent request for
 // this session blocks until the handoff settles and then either gets
@@ -72,17 +74,12 @@ func (s *Store) Detach(ctx context.Context, id string, transfer func(Export) err
 		e.mu.Unlock()
 		return fmt.Errorf("%w: %s", ErrMoved, id)
 	}
-	// Close the live state first so the disk holds everything (a
-	// NoSync WAL may have unsynced appends; Close flushes them) and
-	// export from files, not memory — the bytes shipped are exactly
-	// the bytes a restart would recover from.
-	if e.wal != nil {
-		_ = e.wal.Close()
-	}
-	e.sess, e.wal = nil, nil
 	exp, err := s.exportLocked(e)
 	if err != nil {
 		e.mu.Unlock()
+		if errors.Is(err, ErrEvicted) {
+			return err
+		}
 		return fmt.Errorf("%w: exporting session %s: %v", ErrStorage, id, err)
 	}
 	if err := transfer(exp); err != nil {
@@ -90,11 +87,14 @@ func (s *Store) Detach(ctx context.Context, id string, transfer func(Export) err
 		return fmt.Errorf("store: handing off session %s: %w", id, err)
 	}
 	e.moved = true
+	e.sess = nil
 	// The receiver acknowledged: it is authoritative now. Deleting the
 	// local directory is part of correctness, not cleanup — two nodes
 	// must never both recover this id.
-	if err := os.RemoveAll(e.dir); err != nil {
-		s.logf("store: removing handed-off session %s: %v", id, err)
+	if e.dir != "" {
+		if err := os.RemoveAll(e.dir); err != nil {
+			s.logf("store: removing handed-off session %s: %v", id, err)
+		}
 	}
 	e.mu.Unlock()
 	// Lock order: s.mu is never taken under e.mu, so drop the entry
@@ -107,9 +107,28 @@ func (s *Store) Detach(ctx context.Context, id string, transfer func(Export) err
 	return nil
 }
 
-// exportLocked reads e's durable state from disk. e.mu must be
-// write-held with the live WAL handle closed.
+// exportLocked captures e's state for transfer. e.mu must be
+// write-held. A memory session exports its live set and cursor and
+// keeps serving until the transfer is acknowledged: that state exists
+// nowhere else. A durable session closes its live state first so the
+// disk holds everything (a NoSync WAL may have unsynced appends; Close
+// flushes them) and exports from files, not memory — the bytes
+// shipped are exactly the bytes a restart would recover from.
 func (s *Store) exportLocked(e *entry) (Export, error) {
+	if e.dir == "" {
+		if e.sess == nil { // evicted between lookup and lock
+			return Export{}, fmt.Errorf("%w: %s", ErrEvicted, e.id)
+		}
+		var set bytes.Buffer
+		if err := hydrac.EncodeTaskSet(&set, e.sess.Set()); err != nil {
+			return Export{}, err
+		}
+		return Export{Set: set.Bytes(), Cursor: e.sess.PlacementCursor()}, nil
+	}
+	if e.wal != nil {
+		_ = e.wal.Close()
+	}
+	e.sess, e.wal = nil, nil
 	gen, sf, _, err := readLatestSnapshot(e.dir)
 	if err != nil {
 		return Export{}, err
@@ -129,12 +148,14 @@ func (s *Store) exportLocked(e *entry) (Export, error) {
 // must not depend on this process's memory.
 const tokenFile = "handoff.token"
 
-// Import installs a session streamed from another node: persist the
-// export as generation 0 (snapshot, then every delta appended to a
-// fresh WAL), then recover it through the standard replay path. An
-// import is therefore indistinguishable from a restart of a local
-// session — same code, same bit-identity guarantee — and the session
-// is fully durable before Import returns.
+// Import installs a session streamed from another node. A durable
+// store persists the export as generation 0 (snapshot, then every
+// delta appended to a fresh WAL), then recovers it through the
+// standard replay path, so an import is indistinguishable from a
+// restart of a local session — same code, same bit-identity guarantee
+// — and the session is fully durable before Import returns. A memory
+// store replays the export straight into a live session. Either way a
+// delta that fails to re-admit fails the import and leaves no entry.
 //
 // token, when non-empty, is the sender's identity for this handoff
 // and makes the import idempotent: a duplicate Import whose token
@@ -147,7 +168,7 @@ func (s *Store) Import(ctx context.Context, id string, exp Export, token string)
 	if !validID(id) {
 		return fmt.Errorf("store: invalid session id %q (want 1-128 chars of [a-zA-Z0-9_-])", id)
 	}
-	e := &entry{id: id, dir: filepath.Join(s.dir, id)}
+	e := s.newEntry(id)
 	s.mu.Lock()
 	if s.closed {
 		s.mu.Unlock()
@@ -175,10 +196,7 @@ func (s *Store) Import(ctx context.Context, id string, exp Export, token string)
 	err := s.importLocked(ctx, e, exp, token)
 	e.mu.Unlock()
 	if err != nil {
-		s.mu.Lock()
-		delete(s.entries, id)
-		s.mu.Unlock()
-		_ = os.RemoveAll(e.dir)
+		s.abandon(e)
 		return err
 	}
 	s.mu.Lock()
@@ -192,13 +210,16 @@ func (s *Store) Import(ctx context.Context, id string, exp Export, token string)
 	return nil
 }
 
-// tokenOf reads the handoff token e committed with, waiting out any
+// tokenOf returns the handoff token e committed with, waiting out any
 // in-flight import or detach on the entry. Empty for sessions created
 // locally or whose import never completed.
 func (s *Store) tokenOf(e *entry) string {
 	e.mu.RLock()
+	defer e.mu.RUnlock()
+	if e.dir == "" {
+		return e.token
+	}
 	raw, err := os.ReadFile(filepath.Join(e.dir, tokenFile))
-	e.mu.RUnlock()
 	if err != nil {
 		return ""
 	}
@@ -224,8 +245,8 @@ func (s *Store) ImportedWith(id, token string) bool {
 	if e == nil {
 		return false
 	}
-	// Recovered-after-restart sessions have no in-memory token yet;
-	// the session dir's token file is the durable record.
+	// Durable sessions recovered after a restart have no in-memory
+	// token yet; the session dir's token file is the durable record.
 	t := s.tokenOf(e)
 	if t == "" {
 		return false
@@ -236,14 +257,23 @@ func (s *Store) ImportedWith(id, token string) bool {
 	return t == token
 }
 
-// importLocked persists exp into e's directory and rehydrates. e.mu
-// must be write-held. Input errors (undecodable set, replay
-// divergence) come back raw; disk failures wrap ErrStorage.
+// importLocked installs exp as e's state: replayed into memory, or
+// persisted into e's directory and rehydrated. e.mu must be
+// write-held. Input errors (undecodable set, replay divergence) come
+// back raw; disk failures wrap ErrStorage.
 func (s *Store) importLocked(ctx context.Context, e *entry, exp Export, token string) error {
 	// Validate the payload decodes BEFORE creating anything on disk.
 	set, err := hydrac.DecodeTaskSet(bytes.NewReader(exp.Set))
 	if err != nil {
 		return fmt.Errorf("handoff snapshot set: %w", err)
+	}
+	if e.dir == "" {
+		sess, err := s.replay(ctx, set, exp.Cursor, exp.Periods, exp.Deltas)
+		if err != nil {
+			return err
+		}
+		e.sess, e.token = sess, token
+		return nil
 	}
 	if err := os.MkdirAll(e.dir, 0o755); err != nil {
 		return fmt.Errorf("%w: %v", ErrStorage, err)

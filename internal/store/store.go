@@ -1,9 +1,12 @@
-// Package store is the durable session tier of hydrad: a lifecycle
-// manager that gives every admission session (hydrac.Session) a
-// directory of snapshot + write-ahead-log state and recovers all of
-// them by replay on boot. Durability rides on the engine's own
-// semantics — Session.Log() is a committed delta log with
-// deterministic, oracle-pinned replay — so recovery is bit-identical
+// Package store is the session tier of hydrad: a lifecycle manager
+// for admission sessions (hydrac.Session) with two modes behind one
+// API. A durable store (Open) gives every session a directory of
+// snapshot + write-ahead-log state and recovers all of them by replay
+// on boot; a memory store (NewMemory) keeps sessions in memory only
+// and loses the ones its live LRU evicts. Durability rides on the
+// engine's own semantics — the commit hook sees every committed delta
+// in commit order, and replaying those deltas through a fresh engine
+// is deterministic and oracle-pinned — so recovery is bit-identical
 // by construction: a recovered session re-analyses the same placed
 // set through the same equations and must produce byte-identical
 // reports, which the crash-injection tests assert against
@@ -33,6 +36,11 @@
 // always loads the highest generation with a valid snapshot, so a
 // crash anywhere inside compaction leaves either the old or the new
 // generation whole.
+//
+// A memory store's entries have no directory, and nothing builds a
+// path from one: sessions are created and imported without snapshot,
+// WAL or hook, and an evicted id answers ErrEvicted while a bounded
+// tombstone list remembers it.
 package store
 
 import (
@@ -56,6 +64,10 @@ import (
 
 // ErrNotFound reports an id with no session on disk or in memory.
 var ErrNotFound = errors.New("store: no such session")
+
+// ErrEvicted reports an id a memory store held until its live LRU
+// evicted it: the session existed, but its state is gone.
+var ErrEvicted = errors.New("store: session was evicted from the in-memory store")
 
 // ErrExists reports a Create of an id that already has a session.
 var ErrExists = errors.New("store: session already exists")
@@ -118,15 +130,18 @@ type Options struct {
 	Logf func(format string, args ...any)
 }
 
-// Store manages durable sessions under one root directory. All
-// methods are safe for concurrent use.
+// Store manages sessions: durable ones under one root directory, or
+// in-memory ones when the directory is empty (NewMemory). All methods
+// are safe for concurrent use.
 //
-// Lock order: the live-set LRU (and s.mu) are always taken before a
-// session entry's lock, and entry lock holders never call back into
-// the LRU — commit hooks run under an entry read lock and touch only
-// that entry's WAL.
+// Lock order: the live-set LRU is always taken before a session
+// entry's lock, and entry lock holders never call back into the LRU —
+// commit hooks run under an entry read lock and touch only that
+// entry's WAL. s.mu and entry locks never nest. A memory store's
+// eviction takes s.mu under the LRU lock (after the entry lock is
+// released again); nothing takes the LRU under s.mu.
 type Store struct {
-	dir string
+	dir string // empty for a memory store
 	a   *hydrac.Analyzer
 	opt Options
 	fs  faultfs.FS
@@ -150,6 +165,10 @@ type Store struct {
 	// closes the entry's engine + WAL handle, leaving disk state as
 	// the only copy.
 	live *lru.Cache[string, *entry]
+	// evicted tombstones the ids a memory store's LRU dropped, so
+	// Acquire can answer ErrEvicted instead of ErrNotFound. Nil (never
+	// hits) for a durable store, whose evicted sessions stay on disk.
+	evicted *lru.Cache[string, struct{}]
 
 	// stop/wg manage the background degraded-session probe loop.
 	stop chan struct{}
@@ -162,7 +181,12 @@ type Store struct {
 // down mid-request and never materialised twice.
 type entry struct {
 	id  string
-	dir string
+	dir string // empty in a memory store
+
+	// token is the handoff token a memory session was imported with,
+	// empty for local creations; a durable session keeps it in its
+	// token file instead. Guarded by mu.
+	token string
 
 	mu   sync.RWMutex
 	sess *hydrac.Session
@@ -229,8 +253,7 @@ func Open(dir string, a *hydrac.Analyzer, opt Options) (*Store, error) {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return nil, fmt.Errorf("store: creating root: %w", err)
 	}
-	s := &Store{dir: dir, a: a, opt: opt, fs: faultfs.Default(opt.FS), entries: map[string]*entry{}, movedIDs: map[string]struct{}{}, importTokens: map[string]string{}, stop: make(chan struct{})}
-	s.live = lru.New[string, *entry](opt.MaxLive)
+	s := newStore(dir, a, opt)
 	s.live.OnEvict(func(id string, e *entry) { e.close() })
 
 	dirents, err := os.ReadDir(dir)
@@ -247,7 +270,7 @@ func Open(dir string, a *hydrac.Analyzer, opt Options) (*Store, error) {
 			s.logf("store: ignoring non-session directory %q", id)
 			continue
 		}
-		e := &entry{id: id, dir: filepath.Join(dir, id)}
+		e := s.newEntry(id)
 		if !hasSnapshot(e.dir) {
 			// A crash between mkdir and the first snapshot write: the
 			// session never existed durably. Clean it up.
@@ -265,6 +288,64 @@ func Open(dir string, a *hydrac.Analyzer, opt Options) (*Store, error) {
 		go s.probeLoop()
 	}
 	return s, nil
+}
+
+// NewMemory returns a store whose sessions live in memory only: it has
+// no directory, and sessions are created and imported with no
+// snapshot, WAL or commit hook. Its live LRU holds exactly maxLive
+// sessions (<= 0 means DefaultMaxLive); evicting one loses it, and
+// its id answers ErrEvicted while a tombstone LRU of max(4×maxLive,
+// 1024) ids remembers it — the client only needs that answer until it
+// notices and re-creates. Re-hydrating instead would mean keeping
+// every session's state, unbounded because nothing deletes sessions.
+// logf (nil is quiet) receives one line per eviction.
+func NewMemory(a *hydrac.Analyzer, maxLive int, logf func(format string, args ...any)) *Store {
+	if maxLive <= 0 {
+		maxLive = DefaultMaxLive
+	}
+	s := newStore("", a, Options{MaxLive: maxLive, Logf: logf})
+	s.evicted = lru.New[string, struct{}](max(4*maxLive, 1024))
+	s.live.OnEvict(s.forget)
+	return s
+}
+
+func newStore(dir string, a *hydrac.Analyzer, opt Options) *Store {
+	return &Store{
+		dir: dir, a: a, opt: opt, fs: faultfs.Default(opt.FS),
+		entries: map[string]*entry{}, movedIDs: map[string]struct{}{}, importTokens: map[string]string{},
+		live: lru.New[string, *entry](opt.MaxLive),
+		stop: make(chan struct{}),
+	}
+}
+
+// newEntry returns a fresh entry for id; a memory store's has no
+// directory.
+func (s *Store) newEntry(id string) *entry {
+	e := &entry{id: id}
+	if s.dir != "" {
+		e.dir = filepath.Join(s.dir, id)
+	}
+	return e
+}
+
+// forget is a memory store's eviction: the session's state is gone, so
+// its entry leaves the store, its import token with it (a sender
+// asking about it then rightly keeps its copy), and its id is
+// tombstoned. Runs under the live LRU's lock.
+func (s *Store) forget(id string, e *entry) {
+	e.close()
+	s.mu.Lock()
+	held := s.entries[id] == e
+	if held {
+		delete(s.entries, id)
+		delete(s.importTokens, id)
+	}
+	s.mu.Unlock()
+	if !held { // handed off already
+		return
+	}
+	s.evicted.Add(id, struct{}{})
+	s.logf("store: session %s evicted from the in-memory store; its state is lost (run with -data-dir to make sessions durable)", id)
 }
 
 // recoverAll re-hydrates found (in directory order) in chunks of
@@ -388,6 +469,10 @@ type Health struct {
 // OK reports whether every session accepts mutations.
 func (h Health) OK() bool { return h.Degraded == 0 }
 
+// Durable reports whether sessions outlive the process (Open) rather
+// than living in memory only (NewMemory).
+func (s *Store) Durable() bool { return s.dir != "" }
+
 // Health reports the store's current storage health.
 func (s *Store) Health() Health {
 	s.mu.Lock()
@@ -439,16 +524,16 @@ func (s *Store) IDs() []string {
 	return ids
 }
 
-// Create opens a new durable session over base: the session is
-// analysed first (an infeasible base never touches disk), then its
-// placed set and cursor are snapshotted and an empty WAL generation
-// is created, and only then is the commit hook attached. Returns the
-// initial report.
+// Create opens a new session over base: the session is analysed
+// first (an infeasible base never touches disk), then — in a durable
+// store — its placed set and cursor are snapshotted and an empty WAL
+// generation is created, and only then is the commit hook attached.
+// Returns the initial report.
 func (s *Store) Create(ctx context.Context, id string, base *hydrac.TaskSet) (*hydrac.Report, error) {
 	if !validID(id) {
 		return nil, fmt.Errorf("store: invalid session id %q (want 1-128 chars of [a-zA-Z0-9_-])", id)
 	}
-	e := &entry{id: id, dir: filepath.Join(s.dir, id)}
+	e := s.newEntry(id)
 	s.mu.Lock()
 	if s.closed {
 		s.mu.Unlock()
@@ -465,14 +550,22 @@ func (s *Store) Create(ctx context.Context, id string, base *hydrac.TaskSet) (*h
 	rep, err := s.createLocked(ctx, e, base)
 	e.mu.Unlock()
 	if err != nil {
-		s.mu.Lock()
-		delete(s.entries, id)
-		s.mu.Unlock()
-		_ = os.RemoveAll(e.dir)
+		s.abandon(e)
 		return nil, err
 	}
 	s.live.Add(id, e)
 	return rep, nil
+}
+
+// abandon undoes a failed Create or Import: the id leaves the store
+// and a durable entry's half-written directory is removed.
+func (s *Store) abandon(e *entry) {
+	s.mu.Lock()
+	delete(s.entries, e.id)
+	s.mu.Unlock()
+	if e.dir != "" {
+		_ = os.RemoveAll(e.dir)
+	}
 }
 
 // createLocked is the body of Create; e.mu must be write-held. Disk
@@ -482,6 +575,10 @@ func (s *Store) createLocked(ctx context.Context, e *entry, base *hydrac.TaskSet
 	sess, rep, err := s.a.NewSession(ctx, base)
 	if err != nil {
 		return nil, err
+	}
+	if e.dir == "" {
+		e.sess = sess
+		return rep, nil
 	}
 	if err := os.MkdirAll(e.dir, 0o755); err != nil {
 		return nil, fmt.Errorf("%w: %v", ErrStorage, err)
@@ -506,9 +603,10 @@ func (s *Store) createLocked(ctx context.Context, e *entry, base *hydrac.TaskSet
 }
 
 // Acquire returns the live session for id, re-hydrating it from disk
-// if it was evicted, plus a release func the caller must invoke once
-// done with THIS operation. The handle is valid only until release:
-// holding it longer would race with eviction.
+// if a durable store evicted it, plus a release func the caller must
+// invoke once done with THIS operation. The handle is valid only
+// until release: holding it longer would race with eviction. A
+// memory store answers ErrEvicted for a session its LRU dropped.
 func (s *Store) Acquire(ctx context.Context, id string) (*hydrac.Session, func(), error) {
 	s.mu.Lock()
 	if s.closed {
@@ -522,11 +620,14 @@ func (s *Store) Acquire(ctx context.Context, id string) (*hydrac.Session, func()
 		if wasMoved {
 			return nil, nil, fmt.Errorf("%w: %s", ErrMoved, id)
 		}
+		if _, ok := s.evicted.Get(id); ok {
+			return nil, nil, fmt.Errorf("%w: %s", ErrEvicted, id)
+		}
 		return nil, nil, fmt.Errorf("%w: %s", ErrNotFound, id)
 	}
-	// Touch the live set first (lock order: LRU before entry); this
-	// may synchronously evict other entries.
-	s.live.Add(id, e)
+	if !s.touch(e) {
+		return nil, nil, fmt.Errorf("%w: %s", ErrEvicted, id)
+	}
 	for {
 		e.mu.RLock()
 		if e.moved {
@@ -548,7 +649,7 @@ func (s *Store) Acquire(ctx context.Context, id string) (*hydrac.Session, func()
 		}
 		e.mu.Unlock()
 		if err != nil {
-			if errors.Is(err, ErrMoved) {
+			if errors.Is(err, ErrMoved) || errors.Is(err, ErrEvicted) {
 				return nil, nil, err
 			}
 			return nil, nil, fmt.Errorf("store: re-hydrating session %s: %w", id, err)
@@ -556,6 +657,21 @@ func (s *Store) Acquire(ctx context.Context, id string) (*hydrac.Session, func()
 		// Loop: an eviction storm could tear the session down again
 		// between the Unlock and the RLock above.
 	}
+}
+
+// touch marks e most recently used in the live set (lock order: LRU
+// before entry), which may synchronously evict other entries. A cold
+// durable entry re-enters the set for the caller to re-hydrate; a
+// memory entry the LRU already dropped must not, or it would take a
+// live session's slot while holding nothing — touch reports false
+// for it.
+func (s *Store) touch(e *entry) bool {
+	if s.dir != "" {
+		s.live.Add(e.id, e)
+		return true
+	}
+	cur, ok := s.live.Get(e.id)
+	return ok && cur == e
 }
 
 // Close flushes and closes every live session. The store must not be
@@ -609,8 +725,12 @@ func (s *Store) rehydrate(ctx context.Context, e *entry) error {
 // loadFromDisk stages a fresh engine + WAL from e's directory without
 // touching e's live fields, so callers (Probe) can keep serving the
 // old state when staging fails. e.mu must be write-held (it guards the
-// directory against concurrent compaction).
+// directory against concurrent compaction). A memory entry has no
+// directory to load from: once torn down it is evicted for good.
 func (s *Store) loadFromDisk(ctx context.Context, e *entry) (*hydrac.Session, *wal.Log, uint64, []uint64, error) {
+	if e.dir == "" {
+		return nil, nil, 0, nil, fmt.Errorf("%w: %s", ErrEvicted, e.id)
+	}
 	gen, sf, stale, err := readLatestSnapshot(e.dir)
 	if err != nil {
 		return nil, nil, 0, nil, err
@@ -623,35 +743,42 @@ func (s *Store) loadFromDisk(ctx context.Context, e *entry) (*hydrac.Session, *w
 	if err != nil {
 		return nil, nil, 0, nil, err
 	}
-	// The stored periods turn the snapshot's re-analysis into
-	// verification; they are hints, so the session is the same with or
-	// without them.
-	sess, _, err := s.a.NewSessionWith(ctx, set, hydrac.SessionConfig{NextFitCursor: sf.NextFit, Hints: sf.Periods})
+	sess, err := s.replay(ctx, set, sf.NextFit, sf.Periods, recs)
 	if err != nil {
 		l.Close()
-		return nil, nil, 0, nil, fmt.Errorf("re-analysing snapshot: %w", err)
+		return nil, nil, 0, nil, err
+	}
+	return sess, l, gen, stale, nil
+}
+
+// replay opens a session over set at cursor and re-admits recs, the
+// encoded deltas committed since, in commit order. It is how both
+// recovery and handoff import rebuild a session. periods turn the
+// set's re-analysis into verification; they are hints, so the session
+// is the same with or without them.
+func (s *Store) replay(ctx context.Context, set *hydrac.TaskSet, cursor int, periods map[string]hydrac.Time, recs [][]byte) (*hydrac.Session, error) {
+	sess, _, err := s.a.NewSessionWith(ctx, set, hydrac.SessionConfig{NextFitCursor: cursor, Hints: periods})
+	if err != nil {
+		return nil, fmt.Errorf("re-analysing snapshot: %w", err)
 	}
 	for i, rec := range recs {
 		d, err := hydrac.DecodeDelta(bytes.NewReader(rec))
 		if err != nil {
-			l.Close()
-			return nil, nil, 0, nil, fmt.Errorf("WAL record %d: %w", i, err)
+			return nil, fmt.Errorf("logged delta %d: %w", i, err)
 		}
 		_, admitted, err := sess.Admit(ctx, *d)
 		if err != nil {
-			l.Close()
-			return nil, nil, 0, nil, fmt.Errorf("replaying WAL record %d: %w", i, err)
+			return nil, fmt.Errorf("replaying logged delta %d: %w", i, err)
 		}
 		if !admitted {
 			// The delta committed when it was logged but is denied
 			// now: the analyzer configuration must have drifted (e.g.
 			// a different heuristic). Refusing is the only safe move —
 			// this state was acknowledged to a client.
-			l.Close()
-			return nil, nil, 0, nil, fmt.Errorf("replay diverged at WAL record %d: a logged delta was denied (analyzer configuration changed since this session was written?)", i)
+			return nil, fmt.Errorf("replay diverged at logged delta %d: it was denied (analyzer configuration changed since this session was written?)", i)
 		}
 	}
-	return sess, l, gen, stale, nil
+	return sess, nil
 }
 
 // install makes a staged session e's live state. e.mu must be

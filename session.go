@@ -38,7 +38,8 @@ func EncodeDeltaLog(w io.Writer, ds []Delta) error { return task.EncodeDeltaLog(
 // cold Analyze of the same set, just cheaper to produce.
 //
 // Sessions are safe for concurrent use: deltas serialize in arrival
-// order, and Log returns that order for deterministic replay.
+// order, and the commit hook (SetCommitHook) sees that order for
+// deterministic replay.
 //
 // A session's reports always describe its own placed set: RT tasks
 // arriving unassigned are placed at session creation (heuristic
@@ -79,8 +80,11 @@ type SessionConfig struct {
 // will be once installed and cursor the matching placement cursor;
 // periods are its selected periods aligned with state.Security, nil
 // when state is unschedulable — what SessionConfig.Hints restores.
-// The hook must not retain state or periods (both engine-owned) or
-// call back into the session.
+// d is the committed delta (for Update, with its implied removals)
+// and shares its slices with the delta the caller passed in;
+// replaying the hook's deltas in order over the session's base
+// reproduces its committed state. The hook must not retain state or
+// periods (both engine-owned) or call back into the session.
 type CommitHook func(d Delta, state *TaskSet, cursor int, periods []Time) error
 
 // NewSession opens a session over base and returns the initial
@@ -171,10 +175,6 @@ func (s *Session) Update(ctx context.Context, d Delta) (*Report, bool, error) {
 
 // Set returns a copy of the committed task set (fully placed).
 func (s *Session) Set() *TaskSet { return s.eng.Snapshot() }
-
-// Log returns the committed deltas in commit order: replaying them
-// serially over the same base reproduces the committed state exactly.
-func (s *Session) Log() []Delta { return s.eng.Log() }
 
 // report shapes an engine outcome with the Analyzer's shared report
 // builder, so baselines and simulation configured on the Analyzer
